@@ -12,7 +12,10 @@
 // — node bookkeeping lives in struct-of-arrays (ids, processes, faulty
 // and decided flags in parallel slices a sharded round streams
 // through), and the duplicate filter keys on the comparable wire value
-// itself instead of (ordinal, interned key bytes).
+// itself instead of (ordinal, interned key bytes). Sort-key bytes are
+// rendered once per distinct (from, payload) per round, where the
+// reference plane renders once per Send: a sparse sender unicasting one
+// payload to k successors formats it once, not k times.
 //
 // The schedule is bit-identical to the reference Runner, and that is a
 // proven property, not an aspiration: the wire type's AppendSortKey
@@ -159,17 +162,20 @@ type srcKeyT[M comparable] struct {
 const smallSetMax = 32
 
 // recipSet records the slots that already received one (from, payload)
-// this round. Membership lives in the unsorted tos vec until it would
-// exceed smallSetMax, then in a bitmap over all slots — the inline
-// word when the whole runner fits in 64 slots (no allocation ever),
-// an allocated mask otherwise. Sets are pooled across rounds: tos
-// chunks come from a shared slab and keep their capacity, masks
-// return zeroed to the runner's free list.
+// this round and, once a Send of that identity was accepted, the arena
+// view of its key bytes, so later Sends skip the render. Membership
+// lives in the unsorted tos vec until it would exceed smallSetMax, then
+// in a bitmap over all slots — the inline word when the whole runner
+// fits in 64 slots (no allocation ever), an allocated mask otherwise.
+// Sets are pooled across rounds: tos chunks come from a shared slab and
+// keep their capacity, masks return zeroed to the runner's free list.
 type recipSet struct {
 	tos      []int32  // linear membership while !upgraded
 	word     uint64   // inline bitmap once upgraded, ≤64-slot runners
 	mask     []uint64 // allocated bitmap once upgraded, larger runners
 	upgraded bool
+	key      keyRef // arena view of the key bytes, valid while keyed
+	keyed    bool
 }
 
 func (s *recipSet) has(i int) bool {
@@ -190,14 +196,13 @@ func (s *recipSet) has(i int) bool {
 
 // sendCtxT is sendCtx for the typed plane: the per-Send state shared
 // across a broadcast fan-out. The recipient set is resolved once per
-// Send; the boxed form of the payload — needed only when a faulty node
+// Send and the key bytes at most once per (from, payload) per round
+// (route); the boxed form of the payload — needed only when a faulty node
 // is among the recipients — is materialized at most once per Send, and
 // adversary-originated sends reuse their original boxed payload
 // instead of re-unwrapping.
 type sendCtxT[M comparable] struct {
 	set       *recipSet
-	off       uint32 // arena view of the key bytes
-	n         uint32
 	accepted  bool // at least one recipient took the message
 	boxed     any  // lazy boxed payload for faulty recipients
 	haveBoxed bool
@@ -547,6 +552,7 @@ func (r *TypedRunner[P, M]) resetSets() {
 		s.tos = s.tos[:0]
 		s.word = 0
 		s.upgraded = false
+		s.keyed = false
 		if s.mask != nil {
 			clear(s.mask)
 			r.maskFree = append(r.maskFree, s.mask)
@@ -655,41 +661,46 @@ func (r *TypedRunner[P, M]) observe(round int, from ids.ID, sends []SendT[M]) {
 	r.cfg.Observer(round, from, out)
 }
 
-// deliver routes one typed Send from a correct sender: render the key
-// bytes once into the arena, fan out, release the bytes if nobody took
-// the message — the reference deliver, minus interning (the typed
-// filter keys on the value itself) and minus every box.
+// deliver routes one typed Send from a correct sender — the reference
+// deliver, minus interning (the typed filter keys on the value itself)
+// and minus every box.
 func (r *TypedRunner[P, M]) deliver(from ids.ID, s SendT[M]) {
-	c := sendCtxT[M]{set: r.resolveSet(from, s.Payload)}
-	start := len(r.nxtArena)
-	r.nxtArena = s.Payload.AppendSortKey(r.nxtArena)
-	c.off, c.n = uint32(start), uint32(len(r.nxtArena)-start)
-	r.fanOut(s.To, from, s.Payload, &c)
-	if !c.accepted && uint32(len(r.nxtArena)) == c.off+c.n {
-		r.nxtArena = r.nxtArena[:c.off]
-	}
+	r.route(from, s.To, s.Payload, &sendCtxT[M]{})
 }
 
 // deliverBoxed routes one adversary Send: wrap into the wire union
 // (panic outside it — fast-path eligibility is the caller's contract),
-// keep the original boxed payload for faulty recipients, and fan out
+// keep the original boxed payload for faulty recipients, and route
 // like deliver.
 func (r *TypedRunner[P, M]) deliverBoxed(from ids.ID, s Send) {
 	m, ok := r.codec.Wrap(s.Payload)
 	if !ok {
 		panic(fmt.Sprintf("sim: typed runner cannot carry adversary payload %T", s.Payload))
 	}
-	c := sendCtxT[M]{
-		set:       r.resolveSet(from, m),
-		boxed:     s.Payload,
-		haveBoxed: true,
+	r.route(from, s.To, m, &sendCtxT[M]{boxed: s.Payload, haveBoxed: true})
+}
+
+// route resolves the (from, payload) recipient set and fans the Send
+// out against key bytes rendered once per set per round: the first
+// accepted Send of an identity records its arena view in the set, and
+// later Sends of the same identity reuse it. Equal wire values render
+// equal bytes (the SortKeyer contract), so every keyRef compares
+// exactly as a fresh render would. A render nobody accepted is
+// released from the arena tail and not recorded.
+func (r *TypedRunner[P, M]) route(from, to ids.ID, payload M, c *sendCtxT[M]) {
+	set := r.resolveSet(from, payload)
+	c.set = set
+	if set.keyed {
+		r.fanOut(to, from, payload, c)
+		return
 	}
 	start := len(r.nxtArena)
-	r.nxtArena = m.AppendSortKey(r.nxtArena)
-	c.off, c.n = uint32(start), uint32(len(r.nxtArena)-start)
-	r.fanOut(s.To, from, m, &c)
-	if !c.accepted && uint32(len(r.nxtArena)) == c.off+c.n {
-		r.nxtArena = r.nxtArena[:c.off]
+	r.nxtArena = payload.AppendSortKey(r.nxtArena)
+	set.key = keyRef{off: uint32(start), n: uint32(len(r.nxtArena) - start)}
+	r.fanOut(to, from, payload, c)
+	set.keyed = c.accepted
+	if !c.accepted {
+		r.nxtArena = r.nxtArena[:start]
 	}
 }
 
@@ -754,14 +765,14 @@ func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, payload M, c *sendCtx
 			r.metrics.InboxGrows++
 		}
 		b.msgs = append(b.msgs, Message{From: from, Payload: c.boxed})
-		b.keys = append(b.keys, keyRef{off: c.off, n: c.n})
+		b.keys = append(b.keys, set.key)
 	} else {
 		b := &r.nxt[i]
 		if len(b.msgs) == cap(b.msgs) {
 			r.metrics.InboxGrows++
 		}
 		b.msgs = append(b.msgs, MsgT[M]{From: from, Payload: payload})
-		b.keys = append(b.keys, keyRef{off: c.off, n: c.n})
+		b.keys = append(b.keys, set.key)
 	}
 	c.accepted = true
 	r.metrics.MessagesDelivered++
