@@ -76,7 +76,8 @@ type session struct {
 	start    int // protocol round in which it started
 	snapshot int // |S| at the start (finality denominator)
 	machine  *parallel.Machine
-	stopped  bool // machine done, no longer stepped
+	stopped  bool          // machine done, no longer stepped
+	inbox    []sim.Message // this round's session traffic, reused across rounds
 }
 
 // joining states
@@ -105,8 +106,20 @@ type Node struct {
 	schedule map[int][]string
 	pending  []string
 
-	leaveAt  int // protocol round at which to announce absent (0 = never)
+	leaveAt int // protocol round at which to announce absent (0 = never)
+
+	// sessions holds every session not yet both harvested and stopped,
+	// by start round; live holds the running ones, in start order (the
+	// stepping order). A session leaves live when it stops and leaves
+	// sessions once it is also final, so neither grows with the run.
+	// last caches the previous SessMsg's session (traffic arrives
+	// grouped by sender, and one sender's Sends run session by session).
+	// spare holds the inbox buffers of stopped sessions for the next
+	// sessions to start: about one stops per round as one starts.
 	sessions map[int]*session
+	live     []*session
+	last     *session
+	spare    [][]sim.Message
 
 	chain      []Event
 	finalUpTo  int        // R: all rounds <= R are final
@@ -250,7 +263,6 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 	out := n.sends[:0]
 	var ackTo []ids.ID
 	events := make(map[ids.ID]string) // I_r: first event per sender tagged r-1
-	sessInbox := make(map[int][]sim.Message)
 
 	for _, msg := range inbox {
 		switch p := msg.Payload.(type) {
@@ -268,7 +280,16 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 				}
 			}
 		case SessMsg:
-			sessInbox[p.Sess] = append(sessInbox[p.Sess], sim.Message{From: msg.From, Payload: p.Inner})
+			// Traffic for a session this node never ran, already
+			// stopped or already dropped is discarded.
+			s := n.last
+			if s == nil || s.start != p.Sess {
+				s = n.sessions[p.Sess]
+				n.last = s
+			}
+			if s != nil && !s.stopped {
+				s.inbox = append(s.inbox, sim.Message{From: msg.From, Payload: p.Inner})
+			}
 		case Ack:
 			// stray ack (e.g. duplicate join traffic): ignore
 		}
@@ -296,23 +317,26 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 		n.pending = nil
 	}
 
-	// Step all live session machines with this round's session traffic.
-	for _, start := range n.sessionOrder() {
-		s := n.sessions[start]
-		if s.stopped {
-			continue
-		}
-		payloads := s.machine.Step(sessInbox[start])
+	// Step all live session machines with this round's session traffic,
+	// oldest first, compacting the stopped ones out of live.
+	kept := n.live[:0]
+	for _, s := range n.live {
+		payloads := s.machine.Step(s.inbox)
+		s.inbox = s.inbox[:0]
 		for _, p := range payloads {
-			out = append(out, sim.BroadcastPayload(SessMsg{Sess: start, Inner: p}))
+			out = append(out, sim.BroadcastPayload(SessMsg{Sess: s.start, Inner: p}))
 		}
 		// A machine may be stopped only once it has listened through the
 		// whole first phase (instances can be discovered until its round
 		// D) and every known instance has terminated.
 		if s.machine.Round() >= consensus.InitRounds+consensus.PhaseRounds && s.machine.Done() {
-			s.stopped = true
+			n.stop(s)
+			continue
 		}
+		kept = append(kept, s)
 	}
+	clear(n.live[len(kept):])
+	n.live = kept
 
 	// Start session r (line 27) with the events received this round.
 	if n.state == stActive {
@@ -323,7 +347,11 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 		snapshot := n.Members()
 		mach := parallel.NewMachine(n.id, inputs, snapshot)
 		s := &session{start: n.r, snapshot: len(snapshot), machine: mach}
+		if k := len(n.spare); k > 0 {
+			s.inbox, n.spare = n.spare[k-1], n.spare[:k-1]
+		}
 		n.sessions[n.r] = s
+		n.live = append(n.live, s)
 		payloads := mach.Step(nil) // machine round 1: session-tagged rotor init
 		for _, p := range payloads {
 			out = append(out, sim.BroadcastPayload(SessMsg{Sess: n.r, Inner: p}))
@@ -334,17 +362,8 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 	n.advanceFinality()
 
 	// A leaving node disappears once its outstanding sessions are done.
-	if n.state == stLeaving {
-		done := true
-		for _, s := range n.sessions { //lint:ordered all-quantifier, order-free
-			if !s.stopped {
-				done = false
-				break
-			}
-		}
-		if done {
-			n.state = stLeft
-		}
+	if n.state == stLeaving && len(n.live) == 0 {
+		n.state = stLeft
 	}
 	n.sends = out
 	return out
@@ -377,54 +396,52 @@ func (n *Node) advanceFinality() {
 			n.chain = append(n.chain, Event{Session: next, Node: ids.ID(id), M: outputs[id].S})
 		}
 		n.finalUpTo = next
+		if s.stopped {
+			n.drop(s)
+		}
 	}
 }
 
-func (n *Node) sessionOrder() []int {
-	out := make([]int, 0, len(n.sessions))
-	for s := range n.sessions {
-		out = append(out, s)
+// stop retires a session whose machine is done; a session already
+// harvested (only ever under a harvest gap) is dropped outright.
+func (n *Node) stop(s *session) {
+	s.stopped = true
+	n.spare = append(n.spare, s.inbox[:0])
+	s.inbox = nil
+	if s.start <= n.finalUpTo {
+		n.drop(s)
 	}
-	sort.Ints(out)
-	return out
+}
+
+// drop forgets a session that is both stopped and harvested: nothing
+// reads it again, and its traffic is discarded like any unknown
+// session's.
+func (n *Node) drop(s *session) {
+	delete(n.sessions, s.start)
+	if n.last == s {
+		n.last = nil
+	}
 }
 
 // PrefixViolations counts node pairs whose chains are not prefixes of
 // one another, restricted to the sessions both cover so that joiners
 // (whose chains start at their join round) compare fairly. Zero is the
 // chain-prefix guarantee of Theorem 6; the experiments and the scenario
-// engine both use this as the agreement checker.
+// engine both use this as the agreement checker. Chains are read in
+// place, not copied: a chain only grows, in session order, so the
+// sessions from a given start on are one suffix of it.
 func PrefixViolations(nodes []*Node) int {
 	violations := 0
 	for i := range nodes {
 		for j := i + 1; j < len(nodes); j++ {
-			a, b := nodes[i].Chain(), nodes[j].Chain()
-			// Align on the later starting session.
-			start := 0
+			a, b := nodes[i].chain, nodes[j].chain
 			if len(a) > 0 && len(b) > 0 {
-				s := a[0].Session
-				if b[0].Session > s {
-					s = b[0].Session
-				}
-				start = s
+				// Align on the later starting session.
+				start := max(a[0].Session, b[0].Session)
+				a, b = fromSession(a, start), fromSession(b, start)
 			}
-			var fa, fb []Event
-			for _, e := range a {
-				if e.Session >= start {
-					fa = append(fa, e)
-				}
-			}
-			for _, e := range b {
-				if e.Session >= start {
-					fb = append(fb, e)
-				}
-			}
-			m := len(fa)
-			if len(fb) < m {
-				m = len(fb)
-			}
-			for k := 0; k < m; k++ {
-				if fa[k] != fb[k] {
+			for k := range min(len(a), len(b)) {
+				if a[k] != b[k] {
 					violations++
 					break
 				}
@@ -432,4 +449,11 @@ func PrefixViolations(nodes []*Node) int {
 		}
 	}
 	return violations
+}
+
+// fromSession returns the suffix of a chain holding the sessions from
+// start on.
+func fromSession(chain []Event, start int) []Event {
+	k := sort.Search(len(chain), func(k int) bool { return chain[k].Session >= start })
+	return chain[k:]
 }

@@ -14,8 +14,9 @@
 // through), and the duplicate filter keys on the comparable wire value
 // itself instead of (ordinal, interned key bytes). Sort-key bytes are
 // rendered once per distinct (from, payload) per round, where the
-// reference plane renders once per Send: a sparse sender unicasting one
-// payload to k successors formats it once, not k times.
+// reference plane renders a registered payload on every Send to learn
+// its filter identity: a sparse sender unicasting one payload to k
+// successors formats it once, not k times.
 //
 // The schedule is bit-identical to the reference Runner, and that is a
 // proven property, not an aspiration: the wire type's AppendSortKey
@@ -141,57 +142,13 @@ func (b *laneBuf[M]) reset() {
 }
 
 // srcKeyT is the typed duplicate-filter identity of one message
-// *source*: sender and wire value. The reference filter keys every
-// delivery on (to, from, payload); the typed filter keys the map on
-// (from, payload) only and tracks the recipient set in a side
-// structure (recipSet), so a broadcast to n nodes costs one hash
-// lookup plus n bit operations instead of n hash lookups. By the
-// WireMsg contract (see the package comment above) wire-value equality
-// coincides with boxed-value equality, so "slot i is in the set for
-// (from, m)" is exactly the reference predicate "(to_i, from, payload)
-// was delivered this round".
+// source (recip.go): sender and wire value. By the WireMsg contract
+// (see the package comment above) wire-value equality coincides with
+// the reference identity (ordinal, key bytes), so the typed filter
+// drops exactly the deliveries the reference filter drops.
 type srcKeyT[M comparable] struct {
 	from    ids.ID
 	payload M
-}
-
-// smallSetMax is the recipient count at which a recipSet trades its
-// linear vec for a slot bitmap. Sparse-overlay fan-outs (a ring node
-// talks to ⌈log₂ n⌉ successors) stay in the vec, where a scan of a
-// few int32s beats any hashing; broadcast fan-outs upgrade on entry.
-const smallSetMax = 32
-
-// recipSet records the slots that already received one (from, payload)
-// this round and, once a Send of that identity was accepted, the arena
-// view of its key bytes, so later Sends skip the render. Membership
-// lives in the unsorted tos vec until it would exceed smallSetMax, then
-// in a bitmap over all slots — the inline word when the whole runner
-// fits in 64 slots (no allocation ever), an allocated mask otherwise.
-// Sets are pooled across rounds: tos chunks come from a shared slab and
-// keep their capacity, masks return zeroed to the runner's free list.
-type recipSet struct {
-	tos      []int32  // linear membership while !upgraded
-	word     uint64   // inline bitmap once upgraded, ≤64-slot runners
-	mask     []uint64 // allocated bitmap once upgraded, larger runners
-	upgraded bool
-	key      keyRef // arena view of the key bytes, valid while keyed
-	keyed    bool
-}
-
-func (s *recipSet) has(i int) bool {
-	switch {
-	case !s.upgraded:
-		for _, t := range s.tos {
-			if int(t) == i {
-				return true
-			}
-		}
-		return false
-	case s.mask != nil:
-		return s.mask[i>>6]&(1<<uint(i&63)) != 0
-	default:
-		return s.word&(1<<uint(i)) != 0
-	}
 }
 
 // sendCtxT is sendCtx for the typed plane: the per-Send state shared
@@ -252,23 +209,8 @@ type TypedRunner[P ProcessT[M], M WireMsg] struct {
 	curArena []byte
 	nxtArena []byte
 
-	// Duplicate filter: one map entry per distinct (from, payload) this
-	// round, each pointing at its recipient set. sets and maskFree are
-	// round-scoped scratch recycled across rounds; lastKey caches the
-	// previous Send's resolution (a sparse sender unicasts the same
-	// payload to every successor, so consecutive sends usually hit).
-	dedup      map[srcKeyT[M]]int32
-	dedupAlloc int // entries the live filter map was sized for
-	sets       []recipSet
-	maskFree   [][]uint64 // zeroed bitmaps ready for reuse
-	tosSlab    []int32    // backing store handed to fresh sets in smallSetMax chunks
-	lastKey    srcKeyT[M]
-	lastIdx    int32
-	lastValid  bool
-
+	dedup      recipFilter[srcKeyT[M]] // per-source duplicate filter (recip.go)
 	arenaGauge scratchGauge
-	dedupGauge scratchGauge
-	maskGauge  scratchGauge // bitmaps upgraded per round
 
 	obsSends []Send // observer unbox scratch, reused
 
@@ -415,8 +357,7 @@ func (r *TypedRunner[P, M]) presizeAll() {
 	if hint > typedDedupBudget {
 		hint = typedDedupBudget
 	}
-	r.dedup = make(map[srcKeyT[M]]int32, hint)
-	r.dedupAlloc = hint
+	r.dedup.init(hint)
 }
 
 // Metrics returns the metrics accumulated so far.
@@ -463,21 +404,7 @@ func (r *TypedRunner[P, M]) StepRound() {
 	if r.arenaGauge.oversized(cap(r.nxtArena), arenaRetainFloor) {
 		r.nxtArena = make([]byte, 0, r.arenaGauge.retainTarget(arenaRetainFloor))
 	}
-	r.resetSets()
-	if used := len(r.dedup); used > 0 || r.dedupAlloc > dedupRetainFloor {
-		r.dedupGauge.observe(used)
-		if r.dedupGauge.oversized(r.dedupAlloc, dedupRetainFloor) {
-			r.dedupAlloc = r.dedupGauge.retainTarget(dedupRetainFloor)
-			r.dedup = make(map[srcKeyT[M]]int32, r.dedupAlloc)
-			r.sets = nil // drop the matching flood of pooled vecs too
-			r.tosSlab = nil
-		} else if used > 0 {
-			if used > r.dedupAlloc {
-				r.dedupAlloc = used
-			}
-			clear(r.dedup)
-		}
-	}
+	r.dedup.flip(len(r.idvec))
 	for i := range r.idvec {
 		if r.faulty[i] {
 			r.bcur[i], r.bnxt[i] = r.bnxt[i], r.bcur[i]
@@ -539,100 +466,6 @@ func (r *TypedRunner[P, M]) StepRound() {
 	r.metrics.Rounds = round
 }
 
-// resetSets recycles the round's recipient sets: vecs keep their
-// capacity in place, upgraded bitmaps are zeroed and returned to the
-// free list. The mask gauge bounds what a flood round may pin — the
-// free list is trimmed back toward the decayed per-round high-water,
-// exactly like the arena and filter-map gauges.
-func (r *TypedRunner[P, M]) resetSets() {
-	r.lastValid = false
-	released := 0
-	for i := range r.sets {
-		s := &r.sets[i]
-		s.tos = s.tos[:0]
-		s.word = 0
-		s.upgraded = false
-		s.keyed = false
-		if s.mask != nil {
-			clear(s.mask)
-			r.maskFree = append(r.maskFree, s.mask)
-			s.mask = nil
-			released++
-		}
-	}
-	r.sets = r.sets[:0]
-	if released > 0 || len(r.maskFree) > 0 {
-		r.maskGauge.observe(released)
-		if target := r.maskGauge.retainTarget(4); len(r.maskFree) > target {
-			for i := target; i < len(r.maskFree); i++ {
-				r.maskFree[i] = nil
-			}
-			r.maskFree = r.maskFree[:target]
-		}
-	}
-}
-
-// resolveSet returns this round's recipient set for (from, payload),
-// creating it on first sight. The single-entry cache makes the common
-// sparse pattern — one sender unicasting the same payload to each of
-// its overlay successors — cost one map lookup per sender instead of
-// one per successor.
-func (r *TypedRunner[P, M]) resolveSet(from ids.ID, payload M) *recipSet {
-	key := srcKeyT[M]{from: from, payload: payload}
-	if r.lastValid && r.lastKey == key {
-		return &r.sets[r.lastIdx]
-	}
-	idx, ok := r.dedup[key]
-	if !ok {
-		idx = int32(len(r.sets))
-		if n := len(r.sets); n < cap(r.sets) {
-			r.sets = r.sets[:n+1] // usually a pooled entry with its vec chunk
-		} else {
-			r.sets = append(r.sets, recipSet{})
-		}
-		// A pooled entry keeps its chunk (reset leaves tos non-nil at
-		// len 0); a genuinely fresh one — first use, or a zero entry off
-		// an append-growth tail — gets its vec carved from the shared
-		// slab, so a storm of distinct payloads costs one allocation per
-		// 64 sets, not one per set.
-		if e := &r.sets[idx]; e.tos == nil {
-			if cap(r.tosSlab)-len(r.tosSlab) < smallSetMax {
-				r.tosSlab = make([]int32, 0, 64*smallSetMax)
-			}
-			o := len(r.tosSlab)
-			r.tosSlab = r.tosSlab[:o+smallSetMax]
-			e.tos = r.tosSlab[o : o : o+smallSetMax]
-		}
-		r.dedup[key] = idx
-	}
-	r.lastKey, r.lastIdx, r.lastValid = key, idx, true
-	return &r.sets[idx]
-}
-
-// upgradeSet moves a recipient set from its vec to a bitmap over all
-// slots: the inline word for ≤64-slot runners (free), otherwise a
-// zeroed mask from the free list when one is there.
-func (r *TypedRunner[P, M]) upgradeSet(s *recipSet) {
-	s.upgraded = true
-	if len(r.idvec) <= 64 {
-		for _, t := range s.tos {
-			s.word |= 1 << uint(t)
-		}
-		s.tos = s.tos[:0]
-		return
-	}
-	if k := len(r.maskFree); k > 0 {
-		s.mask = r.maskFree[k-1]
-		r.maskFree = r.maskFree[:k-1]
-	} else {
-		s.mask = make([]uint64, (len(r.idvec)+63)/64)
-	}
-	for _, t := range s.tos {
-		s.mask[t>>6] |= 1 << uint(t&63)
-	}
-	s.tos = s.tos[:0]
-}
-
 // sortSlot orders one slot's current inbox against the current arena.
 func (r *TypedRunner[P, M]) sortSlot(i int) {
 	if r.faulty[i] {
@@ -688,7 +521,7 @@ func (r *TypedRunner[P, M]) deliverBoxed(from ids.ID, s Send) {
 // exactly as a fresh render would. A render nobody accepted is
 // released from the arena tail and not recorded.
 func (r *TypedRunner[P, M]) route(from, to ids.ID, payload M, c *sendCtxT[M]) {
-	set := r.resolveSet(from, payload)
+	set := r.dedup.resolve(srcKeyT[M]{from: from, payload: payload})
 	c.set = set
 	if set.keyed {
 		r.fanOut(to, from, payload, c)
@@ -705,12 +538,8 @@ func (r *TypedRunner[P, M]) route(from, to ids.ID, payload M, c *sendCtxT[M]) {
 }
 
 func (r *TypedRunner[P, M]) fanOut(to, from ids.ID, payload M, c *sendCtxT[M]) {
+	r.dedup.masks.prepare(c.set, to == Broadcast)
 	if to == Broadcast {
-		// A broadcast fan-out will blow past the vec threshold anyway;
-		// upgrading up front saves the per-recipient append-then-copy.
-		if !c.set.upgraded && len(r.idvec) > smallSetMax {
-			r.upgradeSet(c.set)
-		}
 		for i := range r.idvec {
 			r.deliverOne(i, from, payload, c)
 		}
@@ -721,37 +550,9 @@ func (r *TypedRunner[P, M]) fanOut(to, from ids.ID, payload M, c *sendCtxT[M]) {
 
 func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, payload M, c *sendCtxT[M]) {
 	set := c.set
-	if set.upgraded {
-		if set.mask != nil {
-			w, b := i>>6, uint(i&63)
-			if set.mask[w]&(1<<b) != 0 {
-				r.metrics.MessagesDropped++
-				return
-			}
-			set.mask[w] |= 1 << b
-		} else {
-			bit := uint64(1) << uint(i)
-			if set.word&bit != 0 {
-				r.metrics.MessagesDropped++
-				return
-			}
-			set.word |= bit
-		}
-	} else {
-		if set.has(i) {
-			r.metrics.MessagesDropped++
-			return
-		}
-		if len(set.tos) >= smallSetMax {
-			r.upgradeSet(set)
-			if set.mask != nil {
-				set.mask[i>>6] |= 1 << uint(i&63)
-			} else {
-				set.word |= 1 << uint(i)
-			}
-		} else {
-			set.tos = append(set.tos, int32(i))
-		}
+	if !set.add(i) {
+		r.metrics.MessagesDropped++
+		return
 	}
 	if r.faulty[i] {
 		// Faulty recipients consume the boxed plane (the Adversary

@@ -117,21 +117,22 @@ func TestRunnerArenaShrinksAfterFlood(t *testing.T) {
 }
 
 func TestRunnerDedupAndInternShrinkAfterFlood(t *testing.T) {
-	// 4 procs x 600 sends x 4 recipients = 9600 filter entries per
-	// round, above dedupRetainFloor; ~2400 distinct interned keys per
-	// round cross internRetainMax within the flood.
-	r, _ := floodRunner(4, 30, 600, 4)
+	// The filter holds one entry per message source: 4 procs x 2400
+	// distinct broadcasts = 9600 entries per round, above
+	// dedupRetainFloor; as many distinct interned keys per round cross
+	// internRetainMax within the flood.
+	r, _ := floodRunner(4, 30, 2400, 4)
 	for i := 0; i < 30; i++ {
 		r.StepRound()
 	}
-	if r.dedupAlloc <= dedupRetainFloor {
-		t.Fatalf("flood sized the filter to %d entries, too small to exercise the trim (floor %d)", r.dedupAlloc, dedupRetainFloor)
+	if r.dedup.indexAlloc <= dedupRetainFloor {
+		t.Fatalf("flood sized the filter to %d entries, too small to exercise the trim (floor %d)", r.dedup.indexAlloc, dedupRetainFloor)
 	}
 	for i := 0; i < 60; i++ {
 		r.StepRound()
 	}
-	if r.dedupAlloc > dedupRetainFloor {
-		t.Fatalf("duplicate filter still sized for %d entries after 60 quiet rounds (floor %d)", r.dedupAlloc, dedupRetainFloor)
+	if r.dedup.indexAlloc > dedupRetainFloor {
+		t.Fatalf("duplicate filter still sized for %d entries after 60 quiet rounds (floor %d)", r.dedup.indexAlloc, dedupRetainFloor)
 	}
 	if n := len(r.intern); n > internRetainMax {
 		t.Fatalf("intern map holds %d keys, cap is %d", n, internRetainMax)

@@ -20,21 +20,22 @@
 // lives in one node table sorted by id, indexed through a slot map, so
 // broadcast fan-out, the destination-present check and per-round
 // iteration are O(1) array operations. Inbox buffers, their sort keys
-// and the per-recipient duplicate filters are pooled and reused across
-// rounds; each message's deterministic sort key is computed once per
-// Send at delivery time (shared by all recipients of a broadcast)
-// instead of once per comparison inside the inbox sort.
+// and the duplicate filter are pooled and reused across rounds; each
+// message's deterministic sort key is computed at delivery time
+// (shared by all recipients of a Send) instead of once per comparison
+// inside the inbox sort.
 //
 // The delivery path is reflection-free for payload types implementing
 // SortKeyer (see sortkey.go): key bytes are appended to a pooled,
 // double-buffered per-runner arena (inbox key tables are offset/length
-// views into it), and the duplicate filter is keyed by (sender, type
-// ordinal, interned key bytes) instead of hashing boxed interface
-// values. Payloads that do not implement SortKeyer fall back to
-// fmt.Append and interface-identity deduplication — the original
-// semantics, byte for byte. The schedule — traces, metrics, decided
-// rounds — is bit-identical either way; golden_test.go pins it per
-// protocol and fallback_test.go pins the unregistered path.
+// views into it), and the per-source duplicate filter (recip.go) is
+// keyed by (sender, type ordinal, interned key bytes) instead of
+// hashing boxed interface values. Payloads that do not implement
+// SortKeyer fall back to fmt.Append and interface-identity
+// deduplication — the original semantics, byte for byte. The schedule
+// — traces, metrics, decided rounds — is bit-identical either way;
+// golden_test.go pins it per protocol and fallback_test.go pins the
+// unregistered path.
 package sim
 
 import (
@@ -253,32 +254,27 @@ type Runner struct {
 	intern map[string]string
 
 	// dedup is the within-round duplicate filter of every recipient,
-	// cleared (not reallocated) each round; see dedupKey.
-	dedup      map[dedupKey]struct{}
-	dedupAlloc int // entries the live filter map was sized for
+	// recycled (not reallocated) each round; see srcKey.
+	dedup recipFilter[srcKey]
 
-	// Scratch-retention gauges (scratch.go): decaying high-water marks
-	// of per-round arena and filter usage, so a flood round's scratch
-	// is released once traffic quiets down instead of staying pinned
-	// for the rest of the process.
+	// arenaGauge is the arena's scratch-retention gauge (scratch.go): a
+	// decaying high-water mark of per-round usage, so a flood round's
+	// arena is released once traffic quiets down instead of staying
+	// pinned for the rest of the process.
 	arenaGauge scratchGauge
-	dedupGauge scratchGauge
 
 	// Pooled shard buffers (Workers > 1); see shard.go.
 	pre    []stepOut
 	panics []any
 }
 
-// dedupKey is the per-recipient duplicate-filter identity of one Send.
-// All recipients share one runner-level filter map (one allocation and
-// one per-round clear instead of n), so the key leads with the
-// recipient id. Registered payloads use (from, ord, interned key
-// bytes) with payload nil; unregistered payloads use (from, boxed
-// payload) with ord 0 — the original interface-equality semantics. The
-// two populations can never collide: ord 0 is reserved for the
-// fallback.
-type dedupKey struct {
-	to      ids.ID
+// srcKey is the reference plane's duplicate-filter identity of one
+// message source (recip.go). Registered payloads use (from, ord,
+// interned key bytes) with payload nil; unregistered payloads use
+// (from, boxed payload) with ord 0 — the original interface-equality
+// semantics. The two populations can never collide: ord 0 is reserved
+// for the fallback.
+type srcKey struct {
 	from    ids.ID
 	ord     uint32
 	key     string
@@ -286,15 +282,14 @@ type dedupKey struct {
 }
 
 // sendCtx carries the per-Send delivery state shared by every recipient
-// of a broadcast: the duplicate-filter key is constructed once, and the
-// sort-key bytes land in the arena at most once — lazily on the
-// fallback path, so an unregistered Send dropped everywhere as a
-// duplicate never formats.
+// of a broadcast: the recipient set is resolved once, and the sort-key
+// bytes land in the arena at most once — lazily on the fallback path,
+// so an unregistered Send dropped everywhere as a duplicate never
+// formats.
 type sendCtx struct {
-	key      dedupKey
+	set      *recipSet
 	sk       SortKeyer // non-nil: append key bytes without fmt
-	off      uint32    // arena view of the key bytes (valid when keyed)
-	n        uint32
+	key      keyRef    // arena view of the key bytes (valid when keyed)
 	keyed    bool
 	accepted bool // at least one recipient took the message
 }
@@ -386,8 +381,9 @@ func (r *Runner) presizeAll() {
 		n.nxt.msgs = msgSlab[o+c : o+c : o+2*c]
 		n.nxt.keys = keySlab[o+c : o+c : o+2*c]
 	}
-	r.dedup = make(map[dedupKey]struct{}, c*len(r.nodes))
-	r.dedupAlloc = c * len(r.nodes)
+	// One filter entry per distinct (from, payload) per round — a few
+	// Sends per node, not per delivery.
+	r.dedup.init(max(2*len(r.nodes), 16))
 }
 
 // presize seeds one joining node's pooled delivery state (the
@@ -524,18 +520,7 @@ func (r *Runner) StepRound() {
 	if len(r.intern) > internRetainMax {
 		r.intern = make(map[string]string, 64)
 	}
-	if used := len(r.dedup); used > 0 || r.dedupAlloc > dedupRetainFloor {
-		r.dedupGauge.observe(used)
-		if r.dedupGauge.oversized(r.dedupAlloc, dedupRetainFloor) {
-			r.dedupAlloc = r.dedupGauge.retainTarget(dedupRetainFloor)
-			r.dedup = make(map[dedupKey]struct{}, r.dedupAlloc)
-		} else if used > 0 {
-			if used > r.dedupAlloc {
-				r.dedupAlloc = used
-			}
-			clear(r.dedup)
-		}
-	}
+	r.dedup.flip(len(r.nodes))
 	for i := range r.nodes {
 		n := &r.nodes[i]
 		n.cur, n.nxt = n.nxt, n.cur
@@ -615,21 +600,26 @@ func (r *Runner) markDecided(id ids.ID, round int) {
 // deliver routes one Send from the given sender, expanding broadcasts
 // to every currently active node (including the sender itself — the
 // paper's algorithms count the self-copy, e.g. Alg. 4 "including self")
-// and discarding within-round duplicates per recipient. The duplicate
-// key and the sort key are constructed once per Send and shared across
-// the whole broadcast fan-out.
+// and discarding within-round duplicates per recipient. The recipient
+// set is resolved with one filter probe per Send and shared across the
+// whole broadcast fan-out.
 //
 // Registered payloads (SortKeyer with a nonzero ordinal) render their
-// key bytes into the arena up front — the duplicate filter needs them —
-// and intern them for the filter key. Everything else keeps the
-// original semantics: interface-identity dedup, key bytes rendered
-// lazily on first acceptance.
+// key bytes into the arena up front — the filter identity needs them —
+// and intern them for the filter key. The set keeps the arena view of
+// the first accepted Send of its identity, so a later Send of the same
+// identity releases its fresh render and shares that view: equal
+// interned keys are equal bytes. Everything else keeps the original
+// semantics: interface-identity dedup, key bytes rendered lazily on the
+// Send's first acceptance — per Send, because interface equality does
+// not promise equal %v bytes (negative zero).
 func (r *Runner) deliver(from ids.ID, s Send) {
 	var c sendCtx
+	registered := false
+	start := len(r.nxtArena)
 	if sk, ok := s.Payload.(SortKeyer); ok {
 		c.sk = sk
 		if ord := sk.SortKeyOrdinal(); ord != 0 {
-			start := len(r.nxtArena)
 			r.nxtArena = sk.AppendSortKey(r.nxtArena)
 			kb := r.nxtArena[start:]
 			ks, seen := r.intern[string(kb)] // no allocation: probe-only conversion
@@ -637,38 +627,46 @@ func (r *Runner) deliver(from ids.ID, s Send) {
 				ks = string(kb)
 				r.intern[ks] = ks
 			}
-			c.key = dedupKey{from: from, ord: ord, key: ks}
-			c.off, c.n, c.keyed = uint32(start), uint32(len(kb)), true
-		} else {
-			c.key = dedupKey{from: from, payload: s.Payload}
+			c.set = r.dedup.resolve(srcKey{from: from, ord: ord, key: ks})
+			if c.set.keyed {
+				r.nxtArena = r.nxtArena[:start]
+				c.key = c.set.key
+			} else {
+				c.key = keyRef{off: uint32(start), n: uint32(len(kb))}
+			}
+			c.keyed, registered = true, true
 		}
-	} else {
-		c.key = dedupKey{from: from, payload: s.Payload}
 	}
+	if c.set == nil {
+		c.set = r.dedup.resolve(srcKey{from: from, payload: s.Payload})
+	}
+	r.dedup.masks.prepare(c.set, s.To == Broadcast)
 	if s.To == Broadcast {
 		for i := range r.nodes {
-			r.deliverOne(&r.nodes[i], from, s.Payload, &c)
+			r.deliverOne(i, from, s.Payload, &c)
 		}
 	} else if j, ok := r.slot[s.To]; ok {
-		r.deliverOne(&r.nodes[j], from, s.Payload, &c)
+		r.deliverOne(j, from, s.Payload, &c)
 	}
 	// Destination absent (left or never joined): the Send vanishes.
-	if c.keyed && !c.accepted && uint32(len(r.nxtArena)) == c.off+c.n {
-		// Dropped everywhere (duplicates, or an absent unicast target):
-		// nothing references the key bytes, so release them — a replay
-		// flood must not grow the arena.
-		r.nxtArena = r.nxtArena[:c.off]
+	if registered && !c.set.keyed {
+		if c.accepted {
+			c.set.key, c.set.keyed = c.key, true
+		} else {
+			// Dropped everywhere (duplicates, or an absent unicast
+			// target): nothing references the fresh render at the arena
+			// tail, so release it — a replay flood must not grow the
+			// arena.
+			r.nxtArena = r.nxtArena[:start]
+		}
 	}
 }
 
-func (r *Runner) deliverOne(n *node, from ids.ID, payload any, c *sendCtx) {
-	key := c.key
-	key.to = n.id
-	if _, dup := r.dedup[key]; dup {
+func (r *Runner) deliverOne(i int, from ids.ID, payload any, c *sendCtx) {
+	if !c.set.add(i) {
 		r.metrics.MessagesDropped++
 		return
 	}
-	r.dedup[key] = struct{}{}
 	if !c.keyed {
 		// The deterministic sort key: the same stable payload formatting
 		// the original comparator evaluated per comparison, at most once
@@ -680,13 +678,14 @@ func (r *Runner) deliverOne(n *node, from ids.ID, payload any, c *sendCtx) {
 		} else {
 			r.nxtArena = appendFallbackKey(r.nxtArena, payload)
 		}
-		c.off, c.n, c.keyed = uint32(start), uint32(len(r.nxtArena)-start), true
+		c.key, c.keyed = keyRef{off: uint32(start), n: uint32(len(r.nxtArena) - start)}, true
 	}
+	n := &r.nodes[i]
 	if len(n.nxt.msgs) == cap(n.nxt.msgs) {
 		r.metrics.InboxGrows++
 	}
 	n.nxt.msgs = append(n.nxt.msgs, Message{From: from, Payload: payload})
-	n.nxt.keys = append(n.nxt.keys, keyRef{off: c.off, n: c.n})
+	n.nxt.keys = append(n.nxt.keys, c.key)
 	c.accepted = true
 	r.metrics.MessagesDelivered++
 	r.metrics.ByRound[len(r.metrics.ByRound)-1]++
